@@ -145,8 +145,7 @@ def test_ablation_executor_mode(benchmark, cached_engine, tree_pattern, mode):
     pipelining avoids them but re-derives nothing (left-deep plans scan
     each intermediate once, so the two do the same logical work).
     """
-    from repro.query.executor import execute_plan
-    from repro.query.pipeline import execute_plan_streaming
+    from repro.query import execute_plan, execute_plan_streaming
 
     optimized = cached_engine.plan(tree_pattern, optimizer="dps")
 
@@ -171,8 +170,7 @@ def test_drivers_agree_smoke():
     invariant the shared physical-operator layer exists to guarantee.
     """
     from repro.graph.generators import figure1_graph
-    from repro.query.executor import execute_plan
-    from repro.query.pipeline import execute_plan_streaming
+    from repro.query import execute_plan, execute_plan_streaming
 
     engine = GraphEngine(figure1_graph())
     pattern = "A -> C, B -> C, C -> D, D -> E"

@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from repro.workloads.runner import materialize
+
 TREE_QUERIES = tuple(f"T{i}" for i in range(1, 10))
 ENGINES = ("TSD", "INT-DP", "DP")
 
@@ -25,7 +27,7 @@ def tree_patterns(dag_factory):
 @pytest.fixture(scope="module")
 def reference_counts(dag_engine, tree_patterns):
     return {
-        name: len(dag_engine.match(pattern, optimizer="dp"))
+        name: len(materialize(dag_engine, pattern, "dp"))
         for name, pattern in tree_patterns.items()
     }
 
@@ -43,7 +45,7 @@ def test_fig5b_tree_patterns(
     elif engine_name == "INT-DP":
         run = lambda: dag_igmj.match(pattern)[0]
     else:
-        run = lambda: dag_engine.match(pattern, optimizer="dp").rows
+        run = lambda: materialize(dag_engine, pattern, "dp").rows
 
     last_ms = {}
 

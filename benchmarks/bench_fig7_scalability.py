@@ -15,6 +15,8 @@ Run with: pytest benchmarks/bench_fig7_scalability.py --benchmark-only -s
 
 import pytest
 
+from repro.workloads.runner import materialize
+
 DATASETS = ("XS", "S", "M", "L", "XL")
 SHAPES = ("fig4a-path", "fig4d-tree", "fig4i-graph")
 
@@ -43,7 +45,7 @@ def test_fig7_scalability(
     engine = engines[dataset]
     pattern = scalability_patterns[shape]
 
-    result = benchmark(lambda: engine.match(pattern, optimizer=optimizer))
+    result = benchmark(lambda: materialize(engine, pattern, optimizer))
     bench_record.add_result(
         result, query=f"{shape}@{dataset}", optimizer=optimizer
     )

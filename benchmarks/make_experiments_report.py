@@ -304,6 +304,12 @@ def main() -> None:
         "comparison is about *shape*: who wins, by roughly what factor, and "
         "how gaps move with scale.\n"
     )
+    lines.append(
+        "DP and DPS I/O columns come from the paper's materializing HPSJ+ "
+        "driver (`execute_plan`, through `repro.workloads.runner.run_rjoin`), "
+        "which charges every temporal-table page; `GraphEngine.match` "
+        "streams and writes none.\n"
+    )
     graphs = experiment_table2(lines)
     log("building engines for the ladder")
     engines = {

@@ -18,6 +18,7 @@ Run:  python examples/supply_chain.py
 import random
 
 from repro import DiGraph, GraphEngine
+from repro.workloads.runner import materialize
 
 
 def build_trade_network(
@@ -93,12 +94,15 @@ def main() -> None:
         print(f"  bank {binding['b']} services supplier {binding['s']} "
               f"-> retailer {binding['r']} & wholeseller {binding['w']}")
 
-    dp = engine.match(pattern, optimizer="dp")
-    assert dp.as_set() == result.as_set()
+    # DP vs DPS under the paper's HPSJ+ driver, which charges the page
+    # I/O of every intermediate stored into a temporal table
+    dps = materialize(engine, pattern, "dps")
+    dp = materialize(engine, pattern, "dp")
+    assert dp.as_set() == dps.as_set() == result.as_set()
     print(
-        f"\nDPS: {result.metrics.elapsed_seconds*1e3:.1f} ms "
-        f"({result.metrics.physical_io} phys I/O, "
-        f"peak intermediate {result.metrics.peak_temporal_rows} rows)\n"
+        f"\nDPS: {dps.metrics.elapsed_seconds*1e3:.1f} ms "
+        f"({dps.metrics.physical_io} phys I/O, "
+        f"peak intermediate {dps.metrics.peak_temporal_rows} rows)\n"
         f"DP : {dp.metrics.elapsed_seconds*1e3:.1f} ms "
         f"({dp.metrics.physical_io} phys I/O, "
         f"peak intermediate {dp.metrics.peak_temporal_rows} rows)"

@@ -138,7 +138,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     metrics = result.metrics
     print(
         f"-- {len(result)} row(s) in {metrics.elapsed_seconds * 1e3:.1f} ms, "
-        f"{metrics.physical_io} physical / {metrics.logical_io} logical page I/O",
+        f"{metrics.physical_io} physical / {metrics.logical_io} logical "
+        "base-table and index page I/O (streamed; no temporal tables)",
         file=sys.stderr,
     )
     return 0

@@ -22,8 +22,8 @@ the extension sets of *all* conditions touching its variable, see
 :mod:`repro.query.physical.multiway`).  The two families never mix
 within one plan.
 
-The executor (:mod:`repro.query.executor`) interprets these steps against
-a :class:`~repro.db.database.GraphDatabase`.
+The drivers (:mod:`repro.query.physical.drivers`) interpret these steps
+against a :class:`~repro.db.database.GraphDatabase`.
 """
 
 from __future__ import annotations
@@ -430,6 +430,10 @@ class TemporalTable:
 
     def scan(self):
         return self.table.scan()
+
+    def drop(self) -> None:
+        """Free the table's pages on the simulated disk (no I/O charged)."""
+        self.table.drop()
 
     @property
     def row_count(self) -> int:

@@ -92,6 +92,14 @@ class BufferPool:
             self._admit(page)
             return page
 
+    def free(self, page_ids) -> None:
+        """Release pages on disk for good, under the page-table lock so a
+        concurrent write-back cannot re-store one.  Frames still holding
+        a freed page stay: its eviction is charged as before, so every
+        I/O counter is the same whether or not pages were freed."""
+        with self._lock:
+            self.disk.free(page_ids)
+
     def flush_all(self) -> None:
         """Write back every dirty page without evicting anything."""
         with self._lock:

@@ -60,6 +60,12 @@ class HeapFile:
         for _, record in self.scan():
             yield record
 
+    def drop(self) -> None:
+        """Free every page of the file on disk; the file is empty after."""
+        self.pool.free(self._page_ids)
+        self._page_ids = []
+        self._record_count = 0
+
     # ------------------------------------------------------------------
     @property
     def page_count(self) -> int:

@@ -130,11 +130,21 @@ class DiskManager:
         try:
             return self._pages[page_id]
         except KeyError:
-            raise KeyError(f"page {page_id} was never allocated") from None
+            raise KeyError(f"page {page_id} was never allocated or was freed") from None
 
     def write_page(self, page: Page) -> None:
-        self._pages[page.page_id] = page
+        # a freed page may still sit dirty in a buffer frame; its
+        # write-back is charged by the pool but must not resurrect it
+        if page.page_id in self._pages:
+            self._pages[page.page_id] = page
+
+    def free(self, page_ids) -> None:
+        """Release pages for good.  Ids are never reused, so a frame
+        still holding a freed page can never alias a newer one."""
+        for page_id in page_ids:
+            self._pages.pop(page_id, None)
 
     @property
     def page_count(self) -> int:
-        return self._next_id
+        """Pages the disk holds now (allocated and not freed)."""
+        return len(self._pages)

@@ -91,6 +91,12 @@ class Table:
             return None
         return self.heap.read(rid)
 
+    def drop(self) -> None:
+        """Free the table's pages on disk (index-less tables only)."""
+        if self.pk_index is not None:
+            raise SchemaError(f"table {self.name!r} has a primary index")
+        self.heap.drop()
+
     def project(self, columns: Sequence[str]) -> List[Tuple[Any, ...]]:
         positions = [self.column_position(c) for c in columns]
         return [tuple(row[p] for p in positions) for row in self.scan()]

@@ -15,8 +15,7 @@ import pytest
 
 from repro import GraphEngine
 from repro.graph import xmark
-from repro.query.executor import execute_plan
-from repro.query.pipeline import execute_plan_streaming
+from repro.query import execute_plan, execute_plan_streaming
 from repro.query.physical.cache import CenterCache
 from repro.workloads.patterns import PatternFactory
 

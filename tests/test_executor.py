@@ -11,8 +11,9 @@ from repro.query.algebra import (
     RowLimitExceeded,
     SeedJoin,
     Side,
+    TemporalTable,
 )
-from repro.query.executor import execute_plan
+from repro.query import execute_plan
 from repro.query.parser import parse_pattern
 
 
@@ -56,6 +57,37 @@ class TestExecution:
         manual = execute_plan(engine.db, plan)
         optimized = engine.match(pattern)
         assert manual.as_set() == optimized.as_set()
+
+
+class TestTemporalTablesDropped:
+    PATTERNS = ("A -> B, B -> C", "A -> B, B -> C, A -> C", "A -> B")
+
+    def _runs(self, engine, passes):
+        """Run the patterns *passes* times; each run's I/O and the disk
+        size after each pass."""
+        plans = [engine.plan(p, optimizer="dp").plan for p in self.PATTERNS]
+        ios, pages = [], []
+        for _ in range(passes):
+            for plan in plans:
+                ios.append(execute_plan(engine.db, plan).metrics.io)
+            pages.append(engine.db.pool.disk.page_count)
+        return ios, pages
+
+    def test_disk_stops_growing_and_io_is_unchanged(self, monkeypatch):
+        graph = random_digraph(40, 0.25, seed=9)
+        # a 4-frame pool: dirty temporal pages are evicted mid-run, and
+        # some still sit in frames when their table is dropped
+        dropping = GraphEngine(graph, buffer_bytes=4 * 4096)
+        ios, pages = self._runs(dropping, 10)
+        assert max(pages) == pages[0]
+        assert sum(io.physical_writes for io in ios) > 0
+
+        # the same runs with the pages kept: identical I/O, growing disk
+        monkeypatch.setattr(TemporalTable, "drop", lambda self: None)
+        keeping = GraphEngine(graph, buffer_bytes=4 * 4096)
+        kept_ios, kept_pages = self._runs(keeping, 10)
+        assert kept_ios == ios
+        assert kept_pages[-1] > kept_pages[0] > pages[0]
 
 
 class TestRowLimit:

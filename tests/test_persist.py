@@ -9,7 +9,6 @@ from repro.db.database import GraphDatabase
 from repro.db.persist import FORMAT_VERSION, load_database, save_database
 from repro.graph.generators import figure1_graph, random_digraph
 from repro.query.engine import GraphEngine
-from repro.query.executor import execute_plan
 from repro.query.parser import parse_pattern
 
 

@@ -5,8 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro import GraphEngine
 from repro.graph.generators import anti_correlated_star, figure1_graph, random_digraph
-from repro.query.executor import execute_plan
-from repro.query.pipeline import execute_plan_streaming
+from repro.query import execute_plan, execute_plan_streaming
 from repro.query.parser import parse_pattern
 
 

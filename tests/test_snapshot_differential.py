@@ -14,8 +14,7 @@ import pytest
 from repro import GraphEngine
 from repro.db.persist import load_database, save_database
 from repro.graph import xmark
-from repro.query.executor import execute_plan
-from repro.query.pipeline import execute_plan_streaming
+from repro.query import execute_plan, execute_plan_streaming
 from repro.workloads.patterns import PatternFactory
 
 OPTIMIZERS = ("dp", "dps")

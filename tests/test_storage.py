@@ -85,6 +85,25 @@ class TestDiskManager:
         with pytest.raises(KeyError):
             DiskManager().read_page(7)
 
+    def test_free_releases_pages_and_never_reuses_ids(self):
+        disk = DiskManager()
+        pages = [disk.allocate() for _ in range(3)]
+        disk.free([pages[0].page_id, pages[2].page_id])
+        assert disk.page_count == 1
+        with pytest.raises(KeyError):
+            disk.read_page(pages[0].page_id)
+        assert disk.allocate().page_id == 3
+
+    def test_write_back_of_freed_page_is_charged_not_stored(self):
+        disk = DiskManager(page_size=64)
+        pool = BufferPool(disk, capacity_bytes=64, stats=IOStats())
+        freed = pool.new_page()
+        freed.append((1,))
+        pool.free([freed.page_id])
+        pool.new_page()  # evicts the dirty freed page
+        assert pool.stats.physical_writes == 1
+        assert disk.page_count == 1
+
 
 class TestBufferPool:
     def _pool(self, frames: int) -> BufferPool:
@@ -199,6 +218,15 @@ class TestHeapFile:
         rids = [heap.append((i,)) for i in range(10)]
         scanned = [rid for rid, _ in heap.scan()]
         assert scanned == rids
+
+    def test_drop_frees_every_page(self):
+        heap = self._heap()
+        heap.extend((i,) for i in range(100))
+        disk = heap.pool.disk
+        assert disk.page_count == heap.page_count > 1
+        heap.drop()
+        assert disk.page_count == 0
+        assert heap.page_count == 0 and len(heap) == 0
 
     def test_full_scan_costs_page_reads(self):
         heap = self._heap()

@@ -27,13 +27,13 @@ from repro.query import (
     Side,
     optimize_auto,
     optimize_dps,
+    execute_plan,
+    execute_plan_streaming,
     optimize_wcoj,
     parse_pattern,
 )
-from repro.query.executor import execute_plan
 from repro.query.pattern import PatternError
 from repro.query.physical.parallel import fork_available
-from repro.query.pipeline import execute_plan_streaming
 from repro.analysis import check_plan
 from repro.workloads.patterns import PatternFactory
 
