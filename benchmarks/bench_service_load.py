@@ -95,9 +95,7 @@ def snapshot_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def shared_engine(snapshot_path):
-    engine = GraphEngine.from_database(load_database(snapshot_path))
-    yield engine
-    engine.close_pool()
+    return GraphEngine.from_database(load_database(snapshot_path))
 
 
 @pytest.fixture(scope="module")

@@ -16,12 +16,10 @@ encodes them directly and runs as part of ``repro check --self`` and CI:
   ``GraphEngine``, which guarantee plan validation and uniform metrics.
 * ``lint/multiprocessing-outside-parallel`` — direct ``multiprocessing``
   imports (and the ``concurrent.futures`` pool executors) are confined
-  to :mod:`repro.query.physical.parallel` (the morsel scheduler), the
-  ``labeling`` package (the parallel index build), and
-  :mod:`repro.service.server` (the query service's admission-slot
-  executor): everything else routes parallel execution through the
-  ``WorkerPool``/``workers=`` API, so pool lifecycle, fork-safety and
-  metric merging stay in audited places.
+  to :mod:`repro.query.physical.parallel` (the whole-query process
+  pool) and :mod:`repro.service.server` (the query service's
+  admission-slot executor), so pool lifecycle and fork-safety stay in
+  audited places.
 * ``lint/mmap-outside-snapshot`` — :mod:`mmap` and :mod:`struct` imports
   are confined to :mod:`repro.storage.snapshot`: every binary-layout
   assumption (byte order, alignment, section framing) lives in the one
@@ -75,19 +73,17 @@ def _is_query_module(filename: str) -> bool:
 
 
 def _may_import_multiprocessing(filename: str) -> bool:
-    """Pool ownership is confined to three audited modules.
+    """Pool ownership is confined to two audited modules.
 
-    The morsel scheduler and the labeling build own worker pools for
-    query/index parallelism; the query service's server owns exactly one
-    ``ThreadPoolExecutor`` sized to its admission slots (so
-    ``run_in_executor`` can never buffer unbounded work) — its queries
-    still reach engine parallelism through the ``workers=`` API.
+    The whole-query process pool lives in ``query/physical/parallel.py``;
+    the query service's server owns exactly one ``ThreadPoolExecutor``
+    sized to its admission slots (so ``run_in_executor`` can never
+    buffer unbounded work) and the process pool it dispatches to.
     """
     path = Path(filename)
     parts = path.parts
     return (
-        "labeling" in parts
-        or (path.name == "parallel.py" and "physical" in parts)
+        (path.name == "parallel.py" and "physical" in parts)
         or (path.name == "server.py" and "service" in parts)
     )
 
@@ -111,7 +107,7 @@ def _is_binary_layout(module: str) -> bool:
 
 
 #: ``concurrent.futures`` names that create worker pools — importing one
-#: means owning a pool, which belongs in the morsel scheduler
+#: means owning a pool, which belongs in the audited modules above
 _POOL_EXECUTORS = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
 
 
@@ -178,8 +174,8 @@ class _LintVisitor(ast.NodeVisitor):
                     "lint/multiprocessing-outside-parallel",
                     node.lineno,
                     f"direct import of {alias.name!r}; pool ownership lives "
-                    "in repro.query.physical.parallel (and the labeling "
-                    "build) — use the workers=/WorkerPool API instead",
+                    "in repro.query.physical.parallel — use the "
+                    "WorkerPool API instead",
                 )
             if _is_binary_layout(alias.name) and not self.may_binary_layout:
                 self.report(
@@ -204,8 +200,8 @@ class _LintVisitor(ast.NodeVisitor):
                 "lint/multiprocessing-outside-parallel",
                 node.lineno,
                 f"direct import from {module!r}; pool ownership lives in "
-                "repro.query.physical.parallel (and the labeling build) — "
-                "use the workers=/WorkerPool API instead",
+                "repro.query.physical.parallel — use the WorkerPool API "
+                "instead",
             )
         if _is_binary_layout(module) and not self.may_binary_layout:
             self.report(
@@ -222,9 +218,8 @@ class _LintVisitor(ast.NodeVisitor):
                         "lint/multiprocessing-outside-parallel",
                         node.lineno,
                         f"direct import of {alias.name!r}; pool ownership "
-                        "lives in repro.query.physical.parallel (and the "
-                        "labeling build) — use the workers=/WorkerPool API "
-                        "instead",
+                        "lives in repro.query.physical.parallel — use the "
+                        "WorkerPool API instead",
                     )
         if self.in_query_layer and _module_tail(module) in _RAW_STORAGE_MODULES:
             self.report(

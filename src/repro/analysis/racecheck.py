@@ -1,11 +1,10 @@
 """racecheck — shared-state mutation rules for worker-executed code.
 
-The morsel-driven executor (:mod:`repro.query.physical.parallel`) ships
-work to pool workers with a hard contract: a worker may build and mutate
-*its own* operators, caches and contexts, but must never write through
-state the coordinator also sees — results flow back only through the
-futures' return values, and worker cache deltas are merged by the
-coordinator after the fact.  Nothing enforced that contract until now.
+The service's whole-query process pool
+(:mod:`repro.query.physical.parallel`) ships work to pool workers with a
+hard contract: a worker may build and mutate *its own* engine, caches
+and contexts, but must never write through state the coordinator also
+sees — results flow back only through the futures' return values.
 
 This pack checks it interprocedurally:
 
@@ -17,8 +16,8 @@ This pack checks it interprocedurally:
    propagates through typed call edges (arguments to parameters,
    receivers to ``self``) — deliberately **not** through dynamic
    name-matched edges or call results, which would manufacture taint
-   out of worker-local constructions like ``CenterCache()`` inside
-   ``_run_stage``;
+   out of worker-local constructions like the engine
+   ``_run_query_task`` builds;
 3. an attribute write, in-place mutation or global rebinding whose
    receiver is rooted in shared state, inside a worker-reachable
    function, is a diagnostic — with the worker-root call path printed
@@ -35,9 +34,8 @@ Rules
     Rebinding a module global from worker-reachable code.
 
 Exemptions are explicit and carry their justification: modules whose
-worker-side objects are per-process copies (fork COW) or whose morsels
-are serialized by the pool lock, plus a per-function allowlist for
-audited benign cases (see :data:`EXEMPT_MODULE_PREFIXES` /
+shared-state writes are reviewed as safe, plus a per-function allowlist
+for audited benign cases (see :data:`EXEMPT_MODULE_PREFIXES` /
 :data:`ALLOWLIST`).
 """
 
@@ -53,21 +51,9 @@ from .diagnostics import Diagnostic, Severity
 #: reviewed justification for each
 EXEMPT_MODULE_PREFIXES: Dict[str, str] = {
     "repro.query.physical.parallel": (
-        "owns the pool: worker bootstrap writes (_WORKER_DB) happen before "
-        "any morsel runs, and the thread backend serializes stages on the "
-        "pool lock"
-    ),
-    "repro.storage.": (
-        "storage objects touched by workers are per-process copies after "
-        "fork (COW); the thread backend serializes morsels on the pool lock"
-    ),
-    "repro.db.": (
-        "database memo-caches (code cache, lazy leaves) are per-process "
-        "after fork; the thread backend serializes morsels on the pool lock"
-    ),
-    "repro.labeling.": (
-        "the 2-hop construction pool owns its workers' state; results merge "
-        "by return value only"
+        "owns the pool: the worker globals (_WORKER_DB, _WORKER_ENGINE) "
+        "are bound inside each worker process, by its initializer and its "
+        "first query, and the coordinator never reads them"
     ),
     "repro.service.": (
         "service state mutates only on the event loop (scheduler) or under "
@@ -97,10 +83,8 @@ ALLOWLIST: Dict[str, str] = {
     "repro.query.physical.kernels.clear_pair_ids": (
         "process-local interning reset: the epoch bump that accompanies "
         "every clear makes stale ids unreachable (CenterCache keys embed "
-        "the epoch), each mutation is GIL-atomic, and worker-side callers "
-        "only reach it through the capped intern overflow — worker "
-        "CenterCaches are per-morsel and never observe a generation "
-        "change, so the rebuild hook fires in the coordinator only"
+        "the epoch), each mutation is GIL-atomic, and a process worker "
+        "clears only its own copy of the table"
     ),
 }
 

@@ -7,12 +7,6 @@ untyped receiver is a silent false negative.  Sanitizer mode is the
 dynamic oracle that backs them up — every statically checked contract
 has a runtime tripwire that fires on the actual execution:
 
-* **worker shared-state freezing** — before a morsel runs inside a pool
-  worker, :class:`SharedStateGuard` fingerprints the coordinator-shared
-  structures the worker may only *read* (the database's index identity
-  and generation, the submitted plan); after the morsel it verifies
-  nothing drifted, so a worker mutation the race rules missed still
-  fails the run (``race/*`` oracle);
 * **cache-generation freshness** — a sanitizing
   :class:`~repro.query.physical.cache.CenterCache` is bound to its
   database and asserts ``index_generation`` freshness on *every* read,
@@ -26,8 +20,8 @@ has a runtime tripwire that fires on the actual execution:
   :class:`~repro.query.physical.cache.CenterCache` keeps every entry in
   the shard its key hashes to, with per-shard byte ledgers that match
   the entries actually resident; :func:`verify_shard_isolation` audits
-  both after worker morsels run, so a cross-shard write (a locking bug
-  in the striped tier) trips at runtime (``conc/*`` oracle).
+  both at every cache sync, so a cross-shard write (a locking bug in
+  the striped tier) trips at runtime (``conc/*`` oracle).
 
 Everything is opt-in: ``ExecutionContext(sanitize=True)`` or
 ``REPRO_SANITIZE=1`` in the environment (read per execution, so the
@@ -40,13 +34,10 @@ never depends on the query layer.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 #: environment switch; any value other than these enables sanitize mode
 _FALSEY = frozenset({"", "0", "false", "off", "no"})
-
-#: the coordinator-shared GraphDatabase attributes a worker must not swap
-_GUARDED_ATTRS = ("join_index", "catalog", "labeling")
 
 
 class SanitizerError(RuntimeError):
@@ -60,74 +51,6 @@ def sanitize_enabled() -> bool:
     legs can toggle the environment per execution.
     """
     return os.environ.get("REPRO_SANITIZE", "").strip().lower() not in _FALSEY
-
-
-def fingerprint(value: Any) -> int:
-    """A cheap structural fingerprint used as a mutation tripwire.
-
-    ``repr``-based: any change to contents *or* ordering of the guarded
-    structure changes the fingerprint.  Good enough for tripwires (a
-    collision hides a mutation with hash-collision probability), useless
-    for persistence — never store these.
-    """
-    return hash(repr(value))
-
-
-class SharedStateGuard:
-    """Freeze-check for the structures a worker morsel may only read.
-
-    Capture before the morsel, verify after::
-
-        guard = SharedStateGuard.capture(db, plan)
-        ...   # run the morsel
-        guard.verify(db, plan, where="stage 2 morsel")
-
-    The guard records the database's ``index_generation``, the object
-    identity of its index/catalog/labeling structures (a swap is exactly
-    what ``contract/generation-not-bumped`` polices) and a structural
-    fingerprint of the plan (workers must treat plans as immutable).
-    """
-
-    __slots__ = ("_facts",)
-
-    def __init__(self, facts: Dict[str, Any]) -> None:
-        self._facts = facts
-
-    @classmethod
-    def capture(cls, db: Any, plan: Any = None) -> "SharedStateGuard":
-        facts: Dict[str, Any] = {
-            "index_generation": getattr(db, "index_generation", None)
-        }
-        for attr in _GUARDED_ATTRS:
-            facts[attr] = id(getattr(db, attr, None))
-        if plan is not None:
-            facts["plan"] = fingerprint(plan)
-        return cls(facts)
-
-    def verify(
-        self, db: Any, plan: Any = None, where: str = "", cache: Any = None
-    ) -> None:
-        """Raise :class:`SanitizerError` naming every drifted fact.
-
-        ``cache`` additionally audits a (possibly sharded) CenterCache
-        via :func:`verify_shard_isolation` — the striped tier's runtime
-        oracle rides the same capture/verify bracket as the freeze
-        checks.
-        """
-        current = type(self).capture(db, plan)._facts
-        drifted = sorted(
-            name for name, value in self._facts.items()
-            if current.get(name) != value
-        )
-        if drifted:
-            location = f" in {where}" if where else ""
-            raise SanitizerError(
-                f"coordinator-shared state changed under a worker morsel"
-                f"{location}: {', '.join(drifted)} drifted — worker code "
-                f"must not mutate shared structures (see race/* rules)"
-            )
-        if cache is not None:
-            verify_shard_isolation(cache, where=where)
 
 
 def verify_shard_isolation(cache: Any, where: str = "") -> None:
@@ -169,9 +92,7 @@ def assert_generation_fresh(
 
 __all__ = [
     "SanitizerError",
-    "SharedStateGuard",
     "assert_generation_fresh",
-    "fingerprint",
     "sanitize_enabled",
     "verify_shard_isolation",
 ]

@@ -55,17 +55,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         graph = data.graph
         print(f"generated XMark-like graph: {graph.node_count} nodes, "
               f"{graph.edge_count} edges, {len(graph.alphabet())} labels")
-    labeling = None
-    if args.workers is not None and args.workers > 1:
-        from .labeling.twohop import build_two_hop
-
-        label_started = time.perf_counter()
-        labeling = build_two_hop(
-            graph, workers=args.workers, backend=args.parallel_backend
-        )
-        print(f"2-hop labeling built with {args.workers} workers "
-              f"({time.perf_counter() - label_started:.2f}s)")
-    engine = GraphEngine(graph, labeling=labeling)
+    engine = GraphEngine(graph)
     summary = engine.stats_summary()
     print(f"2-hop cover: |H|={summary['cover_size']} "
           f"(|H|/|V|={summary['cover_ratio']:.3f})")
@@ -102,32 +92,27 @@ def _cmd_query(args: argparse.Namespace) -> int:
     engine = GraphEngine.from_database(
         load_database(args.database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
-        workers=args.workers,
-        parallel_backend=args.parallel_backend,
     )
     if args.explain:
         print(engine.explain(args.pattern, optimizer=args.optimizer))
         return 0
-    try:
-        if args.limit is not None:
-            count = 0
-            for row in engine.match_iter(
-                args.pattern, optimizer=args.optimizer, limit=args.limit,
-                row_limit=args.row_limit, verify=args.verify,
-                batch_size=args.batch_size,
-            ):
-                print("\t".join(str(v) for v in row))
-                count += 1
-            print(f"-- {count} row(s) (limit {args.limit}, streamed)",
-                  file=sys.stderr)
-            return 0
-        result = engine.match(
-            args.pattern, optimizer=args.optimizer,
+    if args.limit is not None:
+        count = 0
+        for row in engine.match_iter(
+            args.pattern, optimizer=args.optimizer, limit=args.limit,
             row_limit=args.row_limit, verify=args.verify,
             batch_size=args.batch_size,
-        )
-    finally:
-        engine.close_pool()
+        ):
+            print("\t".join(str(v) for v in row))
+            count += 1
+        print(f"-- {count} row(s) (limit {args.limit}, streamed)",
+              file=sys.stderr)
+        return 0
+    result = engine.match(
+        args.pattern, optimizer=args.optimizer,
+        row_limit=args.row_limit, verify=args.verify,
+        batch_size=args.batch_size,
+    )
     print("\t".join(result.columns))
     shown = result.rows if args.all else result.rows[:args.head]
     for row in shown:
@@ -248,8 +233,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = GraphEngine.from_database(
         load_database(args.database),
         cache_bytes=0 if args.no_center_cache else DEFAULT_CACHE_BYTES,
-        workers=args.workers,
-        parallel_backend=args.parallel_backend,
         batch_size=args.batch_size,
     )
     config = ServiceConfig(
@@ -277,13 +260,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await service.serve_forever()
         except asyncio.CancelledError:
             pass
+        finally:
+            await service.stop()
 
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
-    finally:
-        engine.close_pool()
     return 0
 
 
@@ -403,14 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--seed", type=int, default=7)
     p_build.add_argument("--nodes", help="load a custom graph: nodes TSV (id<TAB>label)")
     p_build.add_argument("--edges", help="load a custom graph: edges TSV (src<TAB>dst)")
-    p_build.add_argument("--workers", type=int, default=None,
-                         help="parallelize the 2-hop labeling's candidate "
-                              "BFS over this many workers (default: "
-                              "sequential)")
-    p_build.add_argument("--parallel-backend", choices=("process", "thread"),
-                         default=None,
-                         help="pool backend for --workers (default: process "
-                              "where fork exists)")
     p_build.add_argument("--out", required=True,
                          help="output path (.snap writes a binary snapshot, "
                               "anything else JSON)")
@@ -450,16 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--no-center-cache", action="store_true",
                          help="disable the cross-query center/subcluster "
                               "cache (batch mode only; ablation)")
-    p_query.add_argument("--workers", type=int, default=None,
-                         help="execute through the morsel-driven parallel "
-                              "scheduler with this many workers (>1; "
-                              "default sequential; rows are identical "
-                              "either way)")
-    p_query.add_argument("--parallel-backend",
-                         choices=("process", "thread", "spawn"),
-                         default=None,
-                         help="pool backend for --workers (default: process "
-                              "where fork exists)")
     p_query.add_argument("--head", type=int, default=20,
                          help="rows to print without --all (default 20)")
     p_query.add_argument("--all", action="store_true", help="print every row")
@@ -515,12 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "query whole to a worker process (snapshot "
                               "databases only) so --max-inflight slots use "
                               "that many cores (default auto = inline)")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="engine default worker count for parallel "
-                              "morsel execution (shared generation-keyed "
-                              "pool; default sequential)")
-    p_serve.add_argument("--parallel-backend",
-                         choices=("process", "thread", "spawn"), default=None)
     p_serve.add_argument("--batch-size", type=int, default=None,
                          help="engine default batch size (vectorized "
                               "substrate; default scalar)")

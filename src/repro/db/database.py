@@ -330,7 +330,8 @@ class GraphDatabase:
         ``(path, index_generation, buffer_bytes, page_size,
         code_cache_enabled, use_views)`` — or ``None`` when the database
         is not snapshot-backed (or its snapshot has been closed), in
-        which case workers must fall back to fork inheritance.
+        which case no :class:`~repro.query.physical.parallel.WorkerPool`
+        can serve it.
         """
         if self._snapshot is None or self._snapshot.closed:
             return None

@@ -31,10 +31,8 @@ an oracle on small graphs, but costs O(n^2) space.
 
 from __future__ import annotations
 
-import multiprocessing
 from array import array
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -385,165 +383,9 @@ def _label_dag(dag: DiGraph, order: Sequence[int]) -> Tuple[List[Set[int]], List
     return in_codes, out_codes
 
 
-# ----------------------------------------------------------------------
-# parallel candidate generation (the offline-phase prong of the
-# morsel-parallel work; see DESIGN.md §2.3)
-# ----------------------------------------------------------------------
-#: centers labeled per parallel round.  A *constant* (independent of the
-#: worker count and backend) so that the produced labeling is a pure
-#: function of (graph, center order, round size) — the same codes come
-#: out for workers=2 and workers=8, process or thread pool.
-PARALLEL_LABEL_ROUND = 128
-
-#: worker-side snapshot (dag, in_codes, out_codes), installed by the fork
-#: pool initializer via memory inheritance (never pickled)
-_LABEL_STATE: Optional[tuple] = None
-
-
-def _init_label_worker(dag: DiGraph, in_codes: list, out_codes: list) -> None:
-    global _LABEL_STATE
-    _LABEL_STATE = (dag, in_codes, out_codes)
-
-
-def _forward_candidates(
-    dag: DiGraph, in_codes: Sequence[Set[int]], out_codes: Sequence[Set[int]], w: int
-) -> List[int]:
-    """Nodes the forward pruned BFS from *w* would label, against a
-    label snapshot.  Pruning with a snapshot that misses the current
-    round's earlier centers prunes *less* than the sequential pass — the
-    merge re-checks every candidate, so the extra candidates cost a
-    little BFS work, never correctness."""
-    candidates: List[int] = []
-    queue = deque(dag.successors(w))
-    seen = {w}
-    while queue:
-        v = queue.popleft()
-        if v in seen:
-            continue
-        seen.add(v)
-        if not out_codes[w].isdisjoint(in_codes[v]):
-            continue  # already witnessed by an earlier-round center
-        candidates.append(v)
-        queue.extend(dag.successors(v))
-    return candidates
-
-
-def _backward_candidates(
-    dag: DiGraph, in_codes: Sequence[Set[int]], out_codes: Sequence[Set[int]], w: int
-) -> List[int]:
-    """Mirror of :func:`_forward_candidates` for the backward BFS."""
-    candidates: List[int] = []
-    queue = deque(dag.predecessors(w))
-    seen = {w}
-    while queue:
-        u = queue.popleft()
-        if u in seen:
-            continue
-        seen.add(u)
-        if not out_codes[u].isdisjoint(in_codes[w]):
-            continue
-        candidates.append(u)
-        queue.extend(dag.predecessors(u))
-    return candidates
-
-
-def _candidate_batch(
-    centers: Sequence[int], state: Optional[tuple] = None
-) -> List[Tuple[int, List[int], List[int]]]:
-    """Worker task: per center, its (forward, backward) candidate lists."""
-    if state is None:
-        state = _LABEL_STATE
-    if state is None:  # pragma: no cover - defensive: initializer not run
-        raise RuntimeError("label worker has no snapshot")
-    dag, in_codes, out_codes = state
-    return [
-        (
-            w,
-            _forward_candidates(dag, in_codes, out_codes, w),
-            _backward_candidates(dag, in_codes, out_codes, w),
-        )
-        for w in centers
-    ]
-
-
-def _label_dag_parallel(
-    dag: DiGraph,
-    order: Sequence[int],
-    workers: int,
-    backend: Optional[str] = None,
-) -> Tuple[List[Set[int]], List[Set[int]]]:
-    """Round-based parallel pruned-BFS labeling of a DAG.
-
-    Rounds of :data:`PARALLEL_LABEL_ROUND` centers fan their candidate
-    BFS out across the pool (pruned against the labels as of the round
-    start); the greedy cover selection itself — adding ``w`` to a
-    candidate's code unless the *current* labels already witness the
-    pair — stays sequential, in center-rank order.  That re-check is
-    exactly the sequential prune condition, so the result is a correct
-    2-hop cover (the standard pruned-landmark argument: for the
-    highest-ranked center on any u→v path, no witness can exist in
-    either phase); it may be slightly larger than the sequential cover
-    because stale-snapshot BFS prunes later.  The process backend forks
-    a fresh pool per round so workers inherit the current labels
-    copy-on-write; the thread backend reads them live, which is safe
-    because no merge runs while a round is in flight.
-    """
-    n = dag.node_count
-    in_codes: List[Set[int]] = [{v} for v in range(n)]
-    out_codes: List[Set[int]] = [{v} for v in range(n)]
-    fork_ok = "fork" in multiprocessing.get_all_start_methods()
-    if backend is None:
-        backend = "process" if fork_ok else "thread"
-    if backend not in ("process", "thread"):
-        raise ValueError(f"unknown labeling backend {backend!r}")
-    if backend == "process" and not fork_ok:
-        raise ValueError(
-            "the process backend needs the fork start method; "
-            "use backend='thread' on this platform"
-        )
-    workers = max(1, int(workers))
-    for start in range(0, len(order), PARALLEL_LABEL_ROUND):
-        round_centers = order[start : start + PARALLEL_LABEL_ROUND]
-        chunk = max(1, (len(round_centers) + workers - 1) // workers)
-        chunks = [
-            round_centers[i : i + chunk]
-            for i in range(0, len(round_centers), chunk)
-        ]
-        if backend == "process" and len(chunks) > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=len(chunks),
-                mp_context=ctx,
-                initializer=_init_label_worker,
-                initargs=(dag, in_codes, out_codes),
-            ) as pool:
-                results = list(pool.map(_candidate_batch, chunks))
-        elif len(chunks) > 1:
-            state = (dag, in_codes, out_codes)
-            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                results = list(
-                    pool.map(lambda c: _candidate_batch(c, state), chunks)
-                )
-        else:
-            results = [_candidate_batch(chunks[0], (dag, in_codes, out_codes))]
-        # sequential merge in center-rank order: the current-label
-        # re-check below is the same `covered` predicate _label_dag uses
-        for batch in results:
-            for w, forward, backward in batch:
-                for v in forward:
-                    if out_codes[w].isdisjoint(in_codes[v]):
-                        in_codes[v].add(w)
-                for u in backward:
-                    if out_codes[u].isdisjoint(in_codes[w]):
-                        out_codes[u].add(w)
-    return in_codes, out_codes
-
-
 def build_two_hop(
     graph: DiGraph,
     center_order: str = "degree",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> TwoHopLabeling:
     """Compute a 2-hop reachability labeling for an arbitrary digraph.
 
@@ -556,14 +398,6 @@ def build_two_hop(
     hubs first), ``"reach"`` (sampled 2-step coverage estimate, closer to
     Cohen et al.'s criterion, slower to compute) or ``"random"`` (the
     no-heuristic control).  Any order yields a *correct* labeling.
-
-    ``workers`` > 1 fans the per-center candidate BFS out across a pool
-    (:func:`_label_dag_parallel`): same reachability semantics, cover
-    possibly a few entries larger than sequential, output deterministic
-    for a given graph/order regardless of worker count or ``backend``
-    (``"process"``/``"thread"``; default process where fork exists).
-    ``workers`` of ``None``/``0``/``1`` is the sequential reference
-    implementation, byte-for-byte unchanged.
     """
     try:
         order_fn = CENTER_ORDERS[center_order]
@@ -575,12 +409,7 @@ def build_two_hop(
     cond = condense(graph)
     dag = cond.dag
     order = order_fn(dag)
-    if workers is not None and workers > 1:
-        dag_in, dag_out = _label_dag_parallel(
-            dag, order, workers=workers, backend=backend
-        )
-    else:
-        dag_in, dag_out = _label_dag(dag, order)
+    dag_in, dag_out = _label_dag(dag, order)
 
     representative = [cond.representative(scc) for scc in range(dag.node_count)]
     in_codes: List[FrozenSet[int]] = [frozenset()] * graph.node_count

@@ -17,19 +17,15 @@ from .costmodel import CostModel, CostParams
 from .engine import GraphEngine
 from .join_graph import JoinGraph
 from .physical import (
-    BACKENDS,
     DEFAULT_BATCH_SIZE,
     DEFAULT_CACHE_BYTES,
-    DEFAULT_MORSEL_SIZE,
     CacheStats,
     CenterCache,
     OperatorMetrics,
-    ParallelStats,
     QueryResult,
     RunMetrics,
     StreamingResult,
     WorkerPool,
-    default_backend,
     execute_plan,
     execute_plan_streaming,
     fork_available,
@@ -56,19 +52,15 @@ __all__ = [
     "CostModel",
     "CostParams",
     "GraphEngine",
-    "BACKENDS",
     "CacheStats",
     "CenterCache",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_CACHE_BYTES",
-    "DEFAULT_MORSEL_SIZE",
     "OperatorMetrics",
-    "ParallelStats",
     "QueryResult",
     "RunMetrics",
     "StreamingResult",
     "WorkerPool",
-    "default_backend",
     "execute_plan",
     "execute_plan_streaming",
     "fork_available",

@@ -41,7 +41,6 @@ from .physical.drivers import (
     StreamingResult,
     execute_plan_streaming,
 )
-from .physical.parallel import WorkerPool
 from .optimizer_dp import OptimizedPlan, optimize_dp, optimize_greedy
 from .optimizer_dps import optimize_dps
 from .optimizer_wcoj import optimize_auto, optimize_wcoj
@@ -83,8 +82,6 @@ class GraphEngine:
         code_cache_enabled: bool = True,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
         cache_shards: int = DEFAULT_CACHE_SHARDS,
     ) -> None:
         self.db = GraphDatabase(
@@ -105,10 +102,6 @@ class GraphEngine:
         #: default block size for :meth:`match`/:meth:`match_iter`;
         #: ``None`` keeps the scalar tuple-at-a-time oracle
         self.batch_size = batch_size
-        #: default worker count / pool backend for queries; ``None``/1
-        #: keeps the sequential drivers
-        self.workers = workers
-        self.parallel_backend = parallel_backend
 
     @classmethod
     def from_database(
@@ -117,8 +110,6 @@ class GraphEngine:
         cost_params: Optional[CostParams] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
         cache_shards: int = DEFAULT_CACHE_SHARDS,
     ) -> "GraphEngine":
         """Wrap an existing (e.g. reloaded) database without rebuilding it.
@@ -133,8 +124,6 @@ class GraphEngine:
             capacity_bytes=cache_bytes, shards=cache_shards
         )
         engine.batch_size = batch_size
-        engine.workers = workers
-        engine.parallel_backend = parallel_backend
         return engine
 
     @classmethod
@@ -148,9 +137,9 @@ class GraphEngine:
         arguments are those of :meth:`from_database`.  ``use_views``
         selects the mmap-native read path (default: on when the file
         layout supports it) — see :meth:`GraphDatabase.from_snapshot`.
-        The engine starts with a fresh :class:`CenterCache` and worker
-        pool, both keyed on the new database's ``index_generation`` —
-        nothing can leak from whatever engine wrote the snapshot.
+        The engine starts with a fresh :class:`CenterCache`, keyed on the
+        new database's ``index_generation`` — nothing can leak from
+        whatever engine wrote the snapshot.
         """
         from ..db.persist import load_database
         from ..storage.snapshot import SnapshotError, is_snapshot
@@ -162,10 +151,8 @@ class GraphEngine:
         )
 
     #: class-level fallbacks so hand-wrapped engines (``__new__`` + attribute
-    #: assignment, as older callers do) default to the scalar sequential path
+    #: assignment, as older callers do) default to the scalar path
     batch_size: Optional[int] = None
-    workers: Optional[int] = None
-    parallel_backend: Optional[str] = None
 
     @property
     def center_cache(self) -> CenterCache:
@@ -176,54 +163,6 @@ class GraphEngine:
                 shards=DEFAULT_CACHE_SHARDS
             )
         return cache
-
-    # ------------------------------------------------------------------
-    def _pool_guard(self) -> threading.Lock:
-        """The engine's pool-lifecycle lock (created lazily, race-free)."""
-        guard: Optional[threading.Lock] = getattr(self, "_pool_lock", None)
-        if guard is None:
-            with _ENGINE_LOCK_GUARD:
-                guard = getattr(self, "_pool_lock", None)
-                if guard is None:
-                    guard = self._pool_lock = threading.Lock()
-        return guard
-
-    def worker_pool(self, workers: int, backend: Optional[str] = None) -> WorkerPool:
-        """The engine-owned reusable morsel pool (lazy, one at a time).
-
-        The pool is keyed by (worker count, backend, index generation):
-        asking with different parameters — or after
-        ``db.rebuild_join_index()`` bumped the generation, which makes
-        forked index snapshots stale — shuts the old pool down and builds
-        a fresh one.  Sequential queries never create a pool.
-
-        The create/invalidate path is serialized on a per-engine lock so
-        concurrent queries sharing one engine (the always-on query
-        service's steady state) can never double-create a pool or leak a
-        half-replaced one; both racers come back holding the same pool.
-        """
-        with self._pool_guard():
-            pool: Optional[WorkerPool] = getattr(self, "_worker_pool", None)
-            effective_backend = backend or self.parallel_backend
-            if pool is not None and not (
-                pool.compatible(self.db)
-                and pool.workers == workers
-                and (effective_backend is None or pool.backend == effective_backend)
-            ):
-                pool.shutdown()
-                pool = None
-            if pool is None:
-                pool = WorkerPool(self.db, workers, effective_backend)
-                self._worker_pool = pool
-            return pool
-
-    def close_pool(self) -> None:
-        """Shut the engine-owned worker pool down (idempotent)."""
-        with self._pool_guard():
-            pool: Optional[WorkerPool] = getattr(self, "_worker_pool", None)
-            if pool is not None:
-                pool.shutdown()
-                self._worker_pool = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -248,30 +187,24 @@ class GraphEngine:
         return guard
 
     def _execution_settings_key(
-        self,
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
-    ) -> Tuple[bool, bool, int, Optional[str]]:
-        """Fingerprint of the execution settings a plan will run under.
+        self, batch_size: Optional[int] = None
+    ) -> Tuple[bool, bool]:
+        """Fingerprint of the execution settings a plan will run under:
+        (batched, mmap-native).
 
         Plans are logical today — no current optimizer output depends on
         the substrate — but the cache key carries this fingerprint anyway
-        so mixed-mode service traffic (scalar and batched, sequential and
-        parallel queries interleaved on one shared engine) can never be
-        served a plan memoized under different execution settings should
-        an optimizer ever specialize for one.  Per-query overrides win
-        over the engine defaults, exactly as they do at execution time.
+        so mixed-mode service traffic (scalar and batched queries
+        interleaved on one shared engine) can never be served a plan
+        memoized under different execution settings should an optimizer
+        ever specialize for one.  A per-query ``batch_size`` wins over
+        the engine default, exactly as it does at execution time.
         """
         effective_batch = self.batch_size if batch_size is None else batch_size
-        effective_workers = self.workers if workers is None else workers
         batched = bool(effective_batch is not None and effective_batch > 1)
-        parallel = bool(effective_workers is not None and effective_workers > 1)
         return (
             batched,
             batched and bool(getattr(self.db, "mmap_views", False)),
-            effective_workers if parallel else 1,
-            (parallel_backend or self.parallel_backend) if parallel else None,
         )
 
     def plan(
@@ -279,15 +212,13 @@ class GraphEngine:
         pattern: PatternLike,
         optimizer: str = "dps",
         batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
     ) -> OptimizedPlan:
         """Optimize a pattern without executing it (memoized, LRU).
 
         The cache key is (pattern, optimizer, index generation,
         execution-settings fingerprint): an index rebuild — which changes
         the catalog the cost model priced against — or a different
-        batch/mmap-native/worker configuration can never be served a plan
+        batch/mmap-native configuration can never be served a plan
         memoized under the old settings.  Cache reads and writes are
         lock-guarded so concurrent service queries sharing one engine
         keep the LRU structure consistent; two racers optimizing the same
@@ -305,7 +236,7 @@ class GraphEngine:
             str(parsed),
             optimizer,
             getattr(self.db, "index_generation", 0),
-            self._execution_settings_key(batch_size, workers, parallel_backend),
+            self._execution_settings_key(batch_size),
         )
         with self._plan_guard():
             cache: Optional[OrderedDict[Tuple, OptimizedPlan]]
@@ -334,9 +265,6 @@ class GraphEngine:
         row_limit: Optional[int] = None,
         verify: bool = False,
         batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
-        morsel_size: Optional[int] = None,
     ) -> QueryResult:
         """Optimize and execute a pattern; returns matches + metrics.
 
@@ -358,21 +286,13 @@ class GraphEngine:
         ``batch_size`` overrides the engine default for this query: a
         value > 1 runs the vectorized Filter/Fetch substrate (results
         identical to scalar), ``0`` forces the scalar path, ``None``
-        inherits the engine's ``batch_size``.  ``workers`` > 1 runs the
-        morsel-driven parallel scheduler on the engine-owned pool
-        (reused across queries); ``None`` inherits the engine's
-        ``workers``.  Rows come back identical to the sequential path.
+        inherits the engine's ``batch_size``.
         """
-        optimized = self.plan(
-            pattern, optimizer=optimizer, batch_size=batch_size,
-            workers=workers, parallel_backend=parallel_backend,
-        )
+        optimized = self.plan(pattern, optimizer=optimizer, batch_size=batch_size)
         if reset_counters:
             self.db.reset_counters()
         stream = self._stream(
-            optimized, row_limit=row_limit, verify=verify,
-            batch_size=batch_size, workers=workers,
-            parallel_backend=parallel_backend, morsel_size=morsel_size,
+            optimized, row_limit=row_limit, verify=verify, batch_size=batch_size,
         )
         rows = list(stream)
         return QueryResult(
@@ -388,9 +308,6 @@ class GraphEngine:
         row_limit: Optional[int] = None,
         verify: bool = False,
         batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
-        morsel_size: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> StreamingResult:
         """Stream matches lazily through the pipelined executor.
@@ -402,25 +319,16 @@ class GraphEngine:
         ``verify`` behave exactly as in :meth:`match`; the returned
         :class:`~repro.query.StreamingResult` carries a ``metrics``
         attribute with the same per-operator counters as a full run.
-        ``batch_size`` and ``workers``/``parallel_backend``/``morsel_size``
-        behave exactly as in :meth:`match`; abandoning a parallel stream
-        early (``limit`` reached or :meth:`StreamingResult.close`)
-        cancels the morsels that have not started, while the engine-owned
-        pool stays warm for the next query.  ``timeout`` is a per-query
-        deadline in seconds: an expired deadline stops the stream
-        cooperatively (between rows) and flags the run's metrics
+        ``batch_size`` behaves exactly as in :meth:`match`.  ``timeout``
+        is a per-query deadline in seconds: an expired deadline stops the
+        stream cooperatively (between rows) and flags the run's metrics
         ``truncated`` with ``stop_reason="timeout"`` — the query service
         rides this for its admission-to-completion deadlines.
         """
-        optimized = self.plan(
-            pattern, optimizer=optimizer, batch_size=batch_size,
-            workers=workers, parallel_backend=parallel_backend,
-        )
+        optimized = self.plan(pattern, optimizer=optimizer, batch_size=batch_size)
         return self._stream(
             optimized, limit=limit, row_limit=row_limit, verify=verify,
-            batch_size=batch_size, workers=workers,
-            parallel_backend=parallel_backend, morsel_size=morsel_size,
-            timeout=timeout,
+            batch_size=batch_size, timeout=timeout,
         )
 
     def _stream(
@@ -430,27 +338,15 @@ class GraphEngine:
         row_limit: Optional[int] = None,
         verify: bool = False,
         batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_backend: Optional[str] = None,
-        morsel_size: Optional[int] = None,
         timeout: Optional[float] = None,
     ) -> StreamingResult:
         """Run *optimized* through the streaming driver under the
-        engine's defaults, its CenterCache and its worker pool."""
+        engine's defaults and its CenterCache."""
         effective = self.batch_size if batch_size is None else batch_size
-        effective_workers = self.workers if workers is None else workers
-        pool = None
-        if effective_workers is not None and effective_workers > 1:
-            pool = self.worker_pool(effective_workers, parallel_backend)
         return execute_plan_streaming(
             self.db, optimized.plan, limit=limit, row_limit=row_limit,
             verify=verify, batch_size=effective,
-            center_cache=self.center_cache,
-            workers=effective_workers,
-            parallel_backend=parallel_backend or self.parallel_backend,
-            morsel_size=morsel_size,
-            worker_pool=pool,
-            timeout=timeout,
+            center_cache=self.center_cache, timeout=timeout,
         )
 
     def explain(self, pattern: PatternLike, optimizer: str = "dps") -> str:

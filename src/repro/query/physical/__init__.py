@@ -16,7 +16,6 @@ points are :func:`repro.query.execute_plan`,
 from .cache import DEFAULT_CACHE_BYTES, CenterCache
 from .context import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_MORSEL_SIZE,
     CacheStats,
     ExecutionContext,
     OperatorMetrics,
@@ -29,14 +28,7 @@ from .drivers import (
     execute_plan,
     execute_plan_streaming,
 )
-from .parallel import (
-    BACKENDS,
-    ParallelExecution,
-    ParallelStats,
-    WorkerPool,
-    default_backend,
-    fork_available,
-)
+from .parallel import WorkerPool, fork_available
 from .operators import (
     FetchOp,
     PhysicalOperator,
@@ -50,17 +42,12 @@ from .operators import (
 from .multiway import MultiwayIntersectOp, MultiwaySeedOp
 
 __all__ = [
-    "BACKENDS",
     "CacheStats",
     "CenterCache",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_CACHE_BYTES",
-    "DEFAULT_MORSEL_SIZE",
     "ExecutionContext",
-    "ParallelExecution",
-    "ParallelStats",
     "WorkerPool",
-    "default_backend",
     "fork_available",
     "OperatorMetrics",
     "RowLayout",

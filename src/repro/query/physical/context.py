@@ -29,10 +29,6 @@ _name_counter = itertools.count()
 #: default rows-per-block when a caller enables batching without a size
 DEFAULT_BATCH_SIZE = 1024
 
-#: default rows per parallel morsel (centers morsels are derived from it,
-#: see :mod:`repro.query.physical.parallel`)
-DEFAULT_MORSEL_SIZE = 1024
-
 
 def temp_name(tag: str) -> str:
     """A unique name for one temporal table (materializing driver only)."""
@@ -122,17 +118,9 @@ class ExecutionContext:
     ``center_cache`` is the engine-owned cross-query LRU consulted by the
     batch kernels for center sets and subclusters.
 
-    ``workers``/``parallel_backend``/``morsel_size`` select the
-    morsel-driven parallel scheduler
-    (:mod:`repro.query.physical.parallel`): with ``workers > 1`` the
-    drivers partition center worklists and row blocks into morsels of
-    ``morsel_size`` rows and execute them on a worker pool.  ``workers``
-    of ``None``/``0``/``1`` keeps the sequential paths untouched — they
-    are the differential oracles for the parallel ones.
-
     ``sanitize`` arms the runtime tripwires of
-    :mod:`repro.analysis.sanitizer` (shared-state freeze checks in
-    worker morsels, per-read cache-generation assertions); it defaults
+    :mod:`repro.analysis.sanitizer` (per-read cache-generation
+    assertions, the striped cache's shard audit); it defaults
     to the ``REPRO_SANITIZE`` environment switch, re-read on every
     context construction.
 
@@ -148,9 +136,6 @@ class ExecutionContext:
     row_limit: Optional[int] = None
     batch_size: Optional[int] = None
     center_cache: Optional[CenterCache] = None
-    workers: Optional[int] = None
-    parallel_backend: Optional[str] = None
-    morsel_size: int = DEFAULT_MORSEL_SIZE
     sanitize: bool = False
     #: this run's private CenterCache recorder — operators pass it into
     #: every shared-cache get, so concurrent queries over one engine get
@@ -191,7 +176,3 @@ class ExecutionContext:
         semantics.
         """
         return self.batched and getattr(self.db, "mmap_views", False)
-
-    @property
-    def parallel(self) -> bool:
-        return self.workers is not None and self.workers > 1

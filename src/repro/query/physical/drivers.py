@@ -37,7 +37,6 @@ from ..algebra import Plan, TemporalTable
 from .cache import CenterCache
 from .context import CacheStats, ExecutionContext, OperatorMetrics, temp_name
 from .operators import Row, build_pipeline
-from .parallel import ParallelExecution, ParallelStats, WorkerPool
 
 
 @dataclass
@@ -51,8 +50,10 @@ class RunMetrics:
     result_rows: int = 0
     #: CenterCache activity during this run (None when no cache was used)
     center_cache: Optional[CacheStats] = None
-    #: morsel-scheduler activity (None for sequential runs)
-    parallel: Optional[ParallelStats] = None
+    #: always None: execution is sequential.  Kept because the
+    #: benchmark's traced pass (``perfbench/workloads.py``) still reads
+    #: ``metrics.parallel``; drop it with that reader.
+    parallel: None = None
     #: True when a stream stopped before exhausting the operator chain
     #: (LIMIT reached, deadline fired, or explicit close): the rows
     #: delivered are a prefix of the full result, not necessarily all of
@@ -106,9 +107,6 @@ def _prepare(
     verify: bool,
     batch_size: Optional[int] = None,
     center_cache: Optional[CenterCache] = None,
-    workers: Optional[int] = None,
-    parallel_backend: Optional[str] = None,
-    morsel_size: Optional[int] = None,
     sanitize: bool = False,
 ):
     """Shared driver preamble: verification, validation, pipeline build.
@@ -127,51 +125,11 @@ def _prepare(
         row_limit=row_limit,
         batch_size=batch_size,
         center_cache=center_cache,
-        workers=workers,
-        parallel_backend=parallel_backend,
         sanitize=sanitize,
     )
-    if morsel_size is not None:
-        ctx.morsel_size = morsel_size
     operators, project = build_pipeline(ctx, plan)
     metrics = RunMetrics(operators=[op.metrics for op in operators])
     return ctx, operators, project, metrics
-
-
-def _parallel_execution(
-    db: GraphDatabase,
-    plan: Plan,
-    ctx: ExecutionContext,
-    operators,
-    project,
-    worker_pool: Optional[WorkerPool],
-) -> ParallelExecution:
-    """Bind a prepared pipeline to a pool (given, or transient)."""
-    owns = worker_pool is None
-    pool = worker_pool
-    if pool is None:
-        pool = WorkerPool(db, ctx.workers or 1, ctx.parallel_backend)
-    elif not pool.compatible(db):
-        raise ValueError(
-            "worker pool is closed or bound to another database/index "
-            "generation; build a new one (GraphEngine does this "
-            "automatically)"
-        )
-    return ParallelExecution(db, plan, ctx, operators, project, pool, owns)
-
-
-def _merge_worker_cache(
-    parent: Optional[CacheStats], counts
-) -> Optional[CacheStats]:
-    """Fold the workers' (hits, misses, evictions) into the run's stats."""
-    hits, misses, evictions = counts
-    if parent is None and not (hits or misses or evictions):
-        return parent
-    merged = parent if parent is not None else CacheStats()
-    merged.hits += hits
-    merged.misses += misses
-    merged.evictions += evictions
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -184,10 +142,6 @@ def execute_plan(
     verify: bool = False,
     batch_size: Optional[int] = None,
     center_cache: Optional[CenterCache] = None,
-    workers: Optional[int] = None,
-    parallel_backend: Optional[str] = None,
-    morsel_size: Optional[int] = None,
-    worker_pool: Optional[WorkerPool] = None,
     sanitize: bool = False,
 ) -> QueryResult:
     """Run *plan*, materializing every intermediate; project the result.
@@ -205,55 +159,13 @@ def execute_plan(
     through the vectorized kernels; ``center_cache`` plugs in the
     engine's cross-query :class:`CenterCache` (consulted only in batch
     mode).  Results are identical to the scalar path row for row.
-
-    ``workers`` > 1 runs the stages through the morsel-driven scheduler
-    (:mod:`repro.query.physical.parallel`); ``parallel_backend`` picks
-    the pool flavor, ``worker_pool`` reuses an engine-owned pool instead
-    of building a transient one (its worker count wins when ``workers``
-    is None).  The parallel path streams between stages instead of
-    spilling temporal tables, so its I/O delta omits the temporal-table
-    traffic — rows and per-operator counters still match the sequential
-    oracle exactly.
     """
-    if workers is None and worker_pool is not None:
-        workers = worker_pool.workers
     ctx, operators, project, metrics = _prepare(
         db, plan, row_limit, verify, batch_size=batch_size,
-        center_cache=center_cache, workers=workers,
-        parallel_backend=parallel_backend, morsel_size=morsel_size,
-        sanitize=sanitize,
+        center_cache=center_cache, sanitize=sanitize,
     )
     io_before = db.stats.snapshot()
     started = time.perf_counter()
-
-    if ctx.parallel:
-        execution = _parallel_execution(
-            db, plan, ctx, operators, project, worker_pool
-        )
-        try:
-            rows = list(project.rows(execution.results()))
-        finally:
-            execution.finish()
-        metrics.elapsed_seconds = time.perf_counter() - started
-        io = db.stats.delta_since(io_before)
-        io.add(execution.worker_io_delta())
-        metrics.io = io
-        metrics.peak_temporal_rows = max(
-            (op.rows_out for op in metrics.operators), default=0
-        )
-        metrics.result_rows = len(rows)
-        # the context's private recorder counts this run's own traffic
-        # exactly (no global-counter deltas, so overlapping queries never
-        # bleed into each other); worker-local cache counts fold on top
-        metrics.center_cache = _merge_worker_cache(
-            ctx.cache_stats if center_cache is not None else None,
-            execution.cache_counts,
-        )
-        metrics.parallel = execution.stats
-        return QueryResult(
-            columns=tuple(plan.pattern.variables), rows=rows, plan=plan,
-            metrics=metrics,
-        )
 
     # the run's temporal tables are dropped once the result is projected
     # (or the run fails): their pages leave the simulated disk, while the
@@ -295,13 +207,8 @@ class StreamingResult:
     populated incrementally by the operators and finalized (elapsed time,
     I/O delta, result count, peak intermediate size) when the stream is
     exhausted.  With a ``limit``, upstream operators stop early and the
-    metrics cover only the work actually done.
-
-    Under parallel execution ``parallel`` holds the run's
-    :class:`~repro.query.physical.parallel.ParallelExecution`;
-    :meth:`close` (or garbage collection of the iterator chain) cancels
-    its outstanding morsels.  Call :meth:`close` to abandon any stream
-    deterministically — it is safe on sequential streams too.
+    metrics cover only the work actually done.  Call :meth:`close` to
+    abandon a stream deterministically.
     """
 
     def __init__(
@@ -310,7 +217,6 @@ class StreamingResult:
         metrics: RunMetrics,
         db: GraphDatabase,
         cache_stats: Optional[CacheStats] = None,
-        parallel: Optional[ParallelExecution] = None,
         columns: Tuple[str, ...] = (),
     ):
         self._rows = rows
@@ -322,7 +228,6 @@ class StreamingResult:
         self._cache_stats = cache_stats
         self._finalized = False
         self.metrics = metrics
-        self.parallel = parallel
         #: projected output columns, in row order (pattern variables) —
         #: same contract as :attr:`QueryResult.columns`
         self.columns = columns
@@ -343,18 +248,16 @@ class StreamingResult:
         return row
 
     def close(self) -> None:
-        """Abandon the stream early: close the operator chain, cancel
-        outstanding morsels, and finalize the metrics over the work
-        actually performed.  A close before exhaustion marks the run
-        ``truncated`` (``stop_reason="closed"`` unless the stream already
-        stopped itself at a limit or deadline)."""
+        """Abandon the stream early: close the operator chain and
+        finalize the metrics over the work actually performed.  A close
+        before exhaustion marks the run ``truncated``
+        (``stop_reason="closed"`` unless the stream already stopped
+        itself at a limit or deadline)."""
         if not self._finalized:
             self.metrics.truncated = True
             if self.metrics.stop_reason is None:
                 self.metrics.stop_reason = "closed"
         self._rows.close()
-        if self.parallel is not None:
-            self.parallel.finish()
         if self._started is not None:
             self._finalize()
 
@@ -366,17 +269,10 @@ class StreamingResult:
         metrics.elapsed_seconds = time.perf_counter() - (self._started or 0.0)
         if self._io_before is not None:
             metrics.io = self._db.stats.delta_since(self._io_before)
-            if self.parallel is not None:
-                metrics.io.add(self.parallel.worker_io_delta())
         metrics.peak_temporal_rows = max(
             (op.rows_out for op in metrics.operators), default=0
         )
         metrics.center_cache = self._cache_stats
-        if self.parallel is not None:
-            metrics.center_cache = _merge_worker_cache(
-                metrics.center_cache, self.parallel.cache_counts
-            )
-            metrics.parallel = self.parallel.stats
 
 
 def execute_plan_streaming(
@@ -387,10 +283,6 @@ def execute_plan_streaming(
     verify: bool = False,
     batch_size: Optional[int] = None,
     center_cache: Optional[CenterCache] = None,
-    workers: Optional[int] = None,
-    parallel_backend: Optional[str] = None,
-    morsel_size: Optional[int] = None,
-    worker_pool: Optional[WorkerPool] = None,
     sanitize: bool = False,
     timeout: Optional[float] = None,
 ) -> StreamingResult:
@@ -401,43 +293,26 @@ def execute_plan_streaming(
     :func:`execute_plan`, and the returned :class:`StreamingResult`
     carries per-operator metrics identical to the materializing driver's
     once the stream is fully drained.  ``batch_size``/``center_cache``
-    select the vectorized substrate and
-    ``workers``/``parallel_backend``/``morsel_size``/``worker_pool`` the
-    morsel scheduler, exactly as in :func:`execute_plan`; under parallel
-    execution the final stage's morsels are merged lazily, and stopping
-    at *limit* (or :meth:`StreamingResult.close`) cancels the morsels
-    that have not started yet.
+    select the vectorized substrate exactly as in :func:`execute_plan`.
 
     ``timeout`` is a per-query deadline in seconds, measured from the
     first row pull: once it expires the stream stops before the next
-    pull, the outstanding morsels are cancelled, and the metrics are
-    flagged ``truncated`` with ``stop_reason="timeout"``.  Cancellation
-    is cooperative — the check runs between output rows, so a single
-    long-running operator stage is bounded by ``row_limit``, not by the
-    deadline.  Stopping at *limit* likewise flags the run truncated
-    (``stop_reason="limit"``): the delivered rows are a prefix of the
-    full result, which may or may not have had more rows.
+    pull and the metrics are flagged ``truncated`` with
+    ``stop_reason="timeout"``.  Cancellation is cooperative — the check
+    runs between output rows, so a single long-running operator stage is
+    bounded by ``row_limit``, not by the deadline.  Stopping at *limit*
+    likewise flags the run truncated (``stop_reason="limit"``): the
+    delivered rows are a prefix of the full result, which may or may not
+    have had more rows.
     """
-    if workers is None and worker_pool is not None:
-        workers = worker_pool.workers
     ctx, operators, project, metrics = _prepare(
         db, plan, row_limit, verify, batch_size=batch_size,
-        center_cache=center_cache, workers=workers,
-        parallel_backend=parallel_backend, morsel_size=morsel_size,
-        sanitize=sanitize,
+        center_cache=center_cache, sanitize=sanitize,
     )
-
-    execution: Optional[ParallelExecution] = None
-    if ctx.parallel:
-        execution = _parallel_execution(
-            db, plan, ctx, operators, project, worker_pool
-        )
-        projected = project.rows(execution.results())
-    else:
-        source: Optional[Iterator[Row]] = None
-        for op in operators:
-            source = op.rows(source)
-        projected = project.rows(source)
+    source: Optional[Iterator[Row]] = None
+    for op in operators:
+        source = op.rows(source)
+    projected = project.rows(source)
 
     def stop(reason: str) -> None:
         metrics.truncated = True
@@ -469,14 +344,11 @@ def execute_plan_streaming(
                     return
         finally:
             # explicit teardown (not GC order): stopping at the limit or
-            # closing the stream must cancel outstanding morsels now
+            # closing the stream closes every operator generator now
             projected.close()
-            if execution is not None:
-                execution.finish()
 
     return StreamingResult(
         bounded(), metrics, db,
         cache_stats=ctx.cache_stats if center_cache is not None else None,
-        parallel=execution,
         columns=tuple(plan.pattern.variables),
     )

@@ -49,8 +49,7 @@ Counter semantics (matching Filter/Fetch conventions):
 Per-row extension sets are memoized on the tuple of scanned values (many
 rows share bound prefixes on cyclic cores); counters are charged per row
 even on memo hits, so memo state can never change the reported work —
-the same replay discipline the batched Fetch uses, and what makes morsel
-partitioning counter-neutral.
+the same replay discipline the batched Fetch uses.
 """
 
 from __future__ import annotations
@@ -158,11 +157,7 @@ class MultiwaySeedOp(_MultiwayBase):
     :class:`~repro.query.physical.operators.SeedScanOp`.
 
     Values are emitted in ascending node order — the deterministic
-    enumeration the parallel scheduler and the differential suites rely
-    on.  The parallel scheduler runs this operator inline in the
-    coordinator (like ``SeedScanOp``) and partitions its *output* — the
-    first eliminated variable's domain — into row morsels for the
-    downstream :class:`MultiwayIntersectOp` stages.
+    enumeration the differential suites rely on.
     """
 
     def __init__(
@@ -233,8 +228,8 @@ class MultiwayIntersectOp(_MultiwayBase):
     the condition is thereby *enforced*, not merely projected.
 
     Extension sets depend only on the tuple of scanned values, which is
-    memoized; counters are charged per row even on memo hits, so the
-    parallel scheduler's morsel boundaries cannot perturb them.
+    memoized; counters are charged per row even on memo hits, so memo
+    state cannot perturb them.
     """
 
     def __init__(

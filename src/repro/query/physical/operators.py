@@ -182,28 +182,21 @@ class SeedJoinOp(PhysicalOperator):
     def close(self) -> None:
         self._seen = set()
 
-    def center_worklist(self) -> List[int]:
-        """The ``W(X, Y)`` worklist this seed iterates, in index order.
-
-        The parallel scheduler partitions exactly this list into center
-        morsels; keeping the enumeration order identical to
-        :meth:`_produce` is what makes the morsel-merged output
-        byte-identical to the sequential oracle.
-        """
-        return list(self.ctx.db.join_index.centers(self.x_label, self.y_label))
-
-    def _enumerate(self, centers: Iterable[int]) -> Iterator[Row]:
-        """Candidate pairs for a slice of the worklist, locally deduped."""
-        db = self.ctx.db
+    def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
+        index = self.ctx.db.join_index
         metrics = self.metrics
         seen = self._seen
-        # mmap-native: each leaf read is a pair of dicts of zero-copy
-        # run slices, consumed immediately below, never retained
-        get_ft = (
-            db.join_index.get_ft_views
-            if self.ctx.mmap_native
-            else db.join_index.get_ft
-        )
+        if self.ctx.mmap_native:
+            # W(X, Y) as a zero-copy slice — same ids, no decode/memoize;
+            # each leaf read is a pair of dicts of zero-copy run slices,
+            # consumed immediately below, never retained
+            centers: Iterable[int] = index.centers_view(
+                self.x_label, self.y_label
+            )
+            get_ft = index.get_ft_views
+        else:
+            centers = index.centers(self.x_label, self.y_label)
+            get_ft = index.get_ft
         for center in centers:
             metrics.centers_probed += 1
             # one combined probe: both subcluster maps live in the same
@@ -219,34 +212,6 @@ class SeedJoinOp(PhysicalOperator):
                     if pair not in seen:
                         seen.add(pair)
                         yield pair
-
-    def rows_for_centers(self, centers: Iterable[int]) -> Iterator[Row]:
-        """Run the seed over one center morsel (worker-side entry point).
-
-        Unlike :meth:`rows` this neither applies the row-limit guard nor
-        owns the final ``rows_out`` count — deduplication across morsels
-        happens in the scheduler, which recounts the merged output; the
-        per-morsel candidate counters it *does* accumulate here sum to
-        the sequential values exactly.
-        """
-        self.open()
-        try:
-            for pair in self._enumerate(centers):
-                self.metrics.rows_out += 1
-                yield pair
-        finally:
-            self.close()
-
-    def _produce(self, source: Optional[Iterable[Row]]) -> Iterator[Row]:
-        index = self.ctx.db.join_index
-        if self.ctx.mmap_native:
-            # W(X, Y) as a zero-copy slice — same ids, no decode/memoize
-            centers: Iterable[int] = index.centers_view(
-                self.x_label, self.y_label
-            )
-        else:
-            centers = index.centers(self.x_label, self.y_label)
-        yield from self._enumerate(centers)
 
 
 # ----------------------------------------------------------------------

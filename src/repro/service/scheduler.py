@@ -134,6 +134,8 @@ class ServiceStats:
         self.rows_returned = 0
         self.cache_hits = 0
         self.cache_misses = 0
+        #: process-dispatch pools rebuilt after a worker died
+        self.pool_restarts = 0
         self._queue_wait_ms: Deque[float] = deque(maxlen=SAMPLE_WINDOW)
         self._exec_ms: Deque[float] = deque(maxlen=SAMPLE_WINDOW)
         self._total_ms: Deque[float] = deque(maxlen=SAMPLE_WINDOW)
@@ -153,6 +155,10 @@ class ServiceStats:
     def mark_error(self) -> None:
         with self._lock:
             self.errors += 1
+
+    def mark_pool_restart(self) -> None:
+        with self._lock:
+            self.pool_restarts += 1
 
     def mark_served(
         self,
@@ -192,6 +198,7 @@ class ServiceStats:
             rows_returned = self.rows_returned
             cache_hits = self.cache_hits
             cache_misses = self.cache_misses
+            pool_restarts = self.pool_restarts
         cache_lookups = cache_hits + cache_misses
         return {
             "received": received,
@@ -201,6 +208,7 @@ class ServiceStats:
             "errors": errors,
             "truncated": truncated,
             "rows_returned": rows_returned,
+            "pool_restarts": pool_restarts,
             "shed_rate": shed / received if received else 0.0,
             "cache_hit_rate": (
                 cache_hits / cache_lookups if cache_lookups else 0.0

@@ -1,11 +1,10 @@
 """The always-on asyncio query service.
 
 One long-running process owns one :class:`~repro.query.engine.GraphEngine`
-— its indexes, plan cache, :class:`CenterCache`, and generation-keyed
-worker pool — and serves concurrent pattern queries over the
-line-delimited JSON protocol (:mod:`repro.service.protocol`).  Clients
-connect over TCP, pipeline requests, and get responses matched by
-``id``.
+— its indexes, plan cache and :class:`CenterCache` — and serves
+concurrent pattern queries over the line-delimited JSON protocol
+(:mod:`repro.service.protocol`).  Clients connect over TCP, pipeline
+requests, and get responses matched by ``id``.
 
 Concurrency model
 -----------------
@@ -15,8 +14,8 @@ shared structures each carry their own discipline instead:
 * the engine's :class:`CenterCache` is striped into independently
   locked shards (per-shard LRU + counters), so concurrent queries
   contend only when they hash to the same shard;
-* the plan cache and worker-pool handoff take short per-engine locks
-  around dictionary bumps only — never around execution;
+* the plan cache takes a short per-engine lock around dictionary bumps
+  only — never around execution;
 * the storage read path is tiered per engine.  **Snapshot tier**
   (mmap-backed databases): reads address an immutable mapping, so
   execution takes no storage locks at all.  **Live tier** (B+-tree
@@ -28,17 +27,21 @@ shared structures each carry their own discipline instead:
   so overlapping queries never bleed counters into each other.
 
 ``dispatch="process"`` (snapshot tier only) goes further: each admitted
-query is shipped whole to a generation-keyed process
+query is shipped whole to a process
 :class:`~repro.query.physical.parallel.WorkerPool` whose workers
 re-opened the snapshot by descriptor — nothing index-sized crosses the
 process boundary, and ``max_inflight=4`` occupies four *cores* instead
-of four threads sharing one GIL.  The default ``dispatch="auto"``
-resolves to in-process slot threads, which still overlap all I/O waits
-and, on the snapshot tier, all mmap page faults.
+of four threads sharing one GIL.  The pool is supervised: when a worker
+dies (the executor reports ``BrokenProcessPool``) the first slot to
+notice replaces the pool, under a lock so concurrent slots build exactly
+one, and every affected read-only query is retried once on the new pool
+(``pool_restarts`` in ``stats`` counts the rebuilds).  The default
+``dispatch="auto"`` resolves to in-process slot threads, which still
+overlap all I/O waits and, on the snapshot tier, all mmap page faults.
 
 What overlaps in every mode: protocol parsing, admission, response
 serialization, socket I/O (all on the event loop) and the engine's
-amortized state (plan cache, CenterCache, warm pools, hot buffer pool)
+amortized state (plan cache, CenterCache, warm workers, hot buffer pool)
 — which is where the service's throughput win over per-query cold
 process invocations comes from.
 
@@ -63,6 +66,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
@@ -128,20 +132,23 @@ class QueryService:
         #: resolved execution mode: ``"inline"`` or ``"process"``
         self.dispatch = dispatch
         self._pool: Optional[WorkerPool] = None
+        #: serializes replacing a broken pool (slot threads race for it)
+        self._pool_lock = threading.Lock()
         if dispatch == "process":
             if engine.db.snapshot_descriptor() is None:
                 raise ValueError(
                     "dispatch='process' needs a snapshot-backed engine: "
                     "workers re-open the snapshot by descriptor"
                 )
-            self._pool = WorkerPool(
-                engine.db, self.config.max_inflight, backend="process"
-            )
+            self._pool = WorkerPool(engine.db, self.config.max_inflight)
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
             thread_name_prefix="repro-query",
         )
         self._server: Optional[asyncio.AbstractServer] = None
+        #: open client connections: handler task -> its writer
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: one task per in-flight request
         self._tasks: Set[asyncio.Task] = set()
         self._started_at = time.perf_counter()
         self._stopping = False
@@ -182,18 +189,28 @@ class QueryService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, bounce queued work, finish in-flight queries."""
+        """Stop accepting, bounce queued work, close the connections and
+        finish in-flight queries — all before the event loop can close,
+        so no connection handler outlives it."""
         self._stopping = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for waiter in self.scheduler.drain():
             if not waiter.done():
                 waiter.set_exception(Overloaded("service stopping"))
-        for task in list(self._tasks):
+        requests = list(self._tasks)
+        for task in requests:
             task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        # closing the transport ends each handler's read loop with EOF,
+        # so the handlers finish normally instead of being cancelled
+        connections = list(self._connections.items())
+        for _task, writer in connections:
+            writer.close()
+        pending = requests + [task for task, _writer in connections]
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         self._executor.shutdown(wait=True)
         if self._pool is not None:
             self._pool.shutdown()
@@ -206,6 +223,9 @@ class QueryService:
     ) -> None:
         write_lock = asyncio.Lock()  # responses interleave whole lines only
         requests: Set[asyncio.Task] = set()
+        connection = asyncio.current_task()
+        assert connection is not None
+        self._connections[connection] = writer
         try:
             while True:
                 try:
@@ -239,6 +259,7 @@ class QueryService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            self._connections.pop(connection, None)
 
     async def _send(
         self,
@@ -430,7 +451,7 @@ class QueryService:
                 timeout_s,
             )
             columns, rows, truncated, stop_reason, counts, span = (
-                self._pool.submit_query(payload).result()
+                self._run_in_pool(payload)
             )
             hits, misses, _evictions = counts
             lookups = hits + misses
@@ -473,6 +494,27 @@ class QueryService:
             "cache_misses": misses,
             "cache_hit_rate": cache.hit_rate if cache is not None else 0.0,
         }
+
+    def _run_in_pool(self, payload: Tuple) -> Tuple:
+        """Run one query on the process pool, retrying it once on a new
+        pool if a worker died; a second break propagates."""
+        pool = self._pool
+        assert pool is not None
+        try:
+            return pool.submit_query(payload).result()
+        except BrokenProcessPool:
+            pool = self._replace_pool(pool)
+        return pool.submit_query(payload).result()
+
+    def _replace_pool(self, broken: WorkerPool) -> WorkerPool:
+        """Swap *broken* for a fresh pool unless another slot already did."""
+        with self._pool_lock:
+            if self._pool is broken:
+                broken.shutdown()
+                self._pool = WorkerPool(self.engine.db, self.config.max_inflight)
+                self.stats.mark_pool_restart()
+            assert self._pool is not None
+            return self._pool
 
 
 # ----------------------------------------------------------------------

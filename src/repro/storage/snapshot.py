@@ -68,8 +68,8 @@ two layouts, selected by the ``FLAG_RAW_RUNS`` header flag:
   the snapshot — see :mod:`repro.analysis.contracts`.
 
 Because a pool of process workers may have the same file mapped
-(:class:`~repro.query.physical.parallel.WorkerPool` re-opens
-snapshot-backed databases by path inside each worker), :meth:`Snapshot.
+(the service's :class:`~repro.query.physical.parallel.WorkerPool`
+re-opens the snapshot by path inside each worker), :meth:`Snapshot.
 close` refuses to run while registered holders exist: pools
 :meth:`acquire` the snapshot on construction and :meth:`release` it on
 shutdown, and a premature ``close()`` raises :class:`SnapshotError`

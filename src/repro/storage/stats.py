@@ -68,20 +68,6 @@ class IOStats:
             index_lookups=dict(self.index_lookups),
         )
 
-    def add(self, other: "IOStats") -> None:
-        """Fold another counter set into this one.
-
-        The parallel executor charges each worker's I/O against its own
-        (forked or thread-shared) stats object and merges the per-worker
-        deltas into the run's coordinator-side delta with this method, so
-        ``RunMetrics.io`` covers the whole run under every backend.
-        """
-        self.physical_reads += other.physical_reads
-        self.physical_writes += other.physical_writes
-        self.logical_reads += other.logical_reads
-        for name, count in other.index_lookups.items():
-            self.index_lookups[name] = self.index_lookups.get(name, 0) + count
-
     def delta_since(self, earlier: "IOStats") -> "IOStats":
         return IOStats(
             physical_reads=self.physical_reads - earlier.physical_reads,

@@ -183,25 +183,18 @@ class TestPlanCache:
     def test_cache_key_includes_execution_settings(self, fig1_engine):
         """Mixed-mode traffic must never share one memoized plan slot.
 
-        The service interleaves scalar/batched and sequential/parallel
-        queries on one engine; the cache key carries the execution
-        fingerprint so a plan memoized under one mode can never be
-        served (or evict) another mode's entry.
+        The service interleaves scalar and batched queries on one
+        engine; the cache key carries the execution fingerprint so a
+        plan memoized under one mode can never be served (or evict)
+        another mode's entry.
         """
         fig1_engine._plan_cache = {}
         scalar = fig1_engine.plan("A -> C, C -> D")
         batched = fig1_engine.plan("A -> C, C -> D", batch_size=512)
-        parallel = fig1_engine.plan("A -> C, C -> D", workers=2)
-        both = fig1_engine.plan("A -> C, C -> D", batch_size=512, workers=2)
-        assert len(fig1_engine._plan_cache) == 4
+        assert len(fig1_engine._plan_cache) == 2
         # identical settings still hit their own entry, same object
         assert fig1_engine.plan("A -> C, C -> D") is scalar
         assert fig1_engine.plan("A -> C, C -> D", batch_size=512) is batched
-        assert fig1_engine.plan("A -> C, C -> D", workers=2) is parallel
-        assert (
-            fig1_engine.plan("A -> C, C -> D", batch_size=512, workers=2)
-            is both
-        )
         # batch_size=0 forces the scalar path: same fingerprint as default
         assert fig1_engine.plan("A -> C, C -> D", batch_size=0) is scalar
 

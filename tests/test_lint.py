@@ -296,7 +296,8 @@ class TestMultiprocessingOutsideParallel:
         )
         assert self.RULE not in rules(diags)
 
-    def test_labeling_build_is_allowed(self):
+    def test_labeling_build_is_flagged(self):
+        # the 2-hop build is sequential: the labeling package owns no pool
         diags = lint(
             """
             from concurrent.futures import ProcessPoolExecutor
@@ -305,7 +306,7 @@ class TestMultiprocessingOutsideParallel:
             """,
             filename="src/repro/labeling/twohop.py",
         )
-        assert self.RULE not in rules(diags)
+        assert self.RULE in rules(diags)
 
     def test_unrelated_concurrent_import_allowed(self):
         diags = lint(

@@ -106,27 +106,6 @@ def test_match_equals_materializing_driver(
         assert got.metrics.io is not None and got.metrics.logical_io > 0
 
 
-def test_match_parallel_leg(live_engine, workload):
-    """workers=2 through the engine's pool: same multiset of rows and the
-    same counters as the sequential materializing oracle."""
-    try:
-        for name, pattern in workload.items():
-            got = live_engine.match(
-                pattern, optimizer="dps", workers=2,
-                parallel_backend="thread", morsel_size=16,
-            )
-            want = materialized(live_engine, pattern, "dps")
-            assert sorted(got.rows) == sorted(want.rows), name
-            assert op_counters(got.metrics) == op_counters(want.metrics), name
-            assert got.metrics.peak_temporal_rows == want.metrics.peak_temporal_rows
-            assert got.metrics.result_rows == len(want)
-        # credit the leg only if the morsel scheduler actually ran
-        assert got.metrics.parallel is not None
-        assert got.metrics.parallel.morsels > 0
-    finally:
-        live_engine.close_pool()
-
-
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
 def test_row_limit_fires_alike(live_engine, workload, optimizer):
     guarded = 0

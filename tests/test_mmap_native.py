@@ -12,11 +12,11 @@ Two acceptance contracts of the mmap-native read path:
   decode path: ``decode_stats`` stays exactly zero while the oracle
   decodes hundreds of rows on the same workload.
 
-Plus the worker-pool contract: process/thread/spawn pools over a
-snapshot-backed database (workers re-opening the snapshot file by
-descriptor — nothing index-sized pickled or inherited) match the
-sequential oracle exactly, and ``Snapshot.close()`` refuses while such
-a pool is alive.
+Plus the worker-pool contract: whole queries run on the service's
+process pool over a snapshot-backed database (workers re-opening the
+snapshot file by descriptor — nothing index-sized pickled or inherited)
+return exactly what ``match_iter`` returns in-process, and
+``Snapshot.close()`` refuses while such a pool is alive.
 """
 
 import pytest
@@ -35,13 +35,11 @@ from repro.workloads.patterns import PatternFactory
 
 OPTIMIZERS = ("dp", "dps")
 
-#: spawn works everywhere; the fork-based process backend is gated
-BACKENDS = ("thread", "process", "spawn") if fork_available() else (
-    "thread", "spawn"
-)
-
-MORSEL = 16
 BATCH = 64
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="the worker pool needs fork"
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +60,7 @@ def native_engine(snap_path):
     """Views enabled (the default on a raw-runs snapshot)."""
     engine = GraphEngine.from_database(load_database(snap_path))
     assert engine.db.mmap_views
-    yield engine
-    engine.close_pool()
+    return engine
 
 
 @pytest.fixture(scope="module")
@@ -175,74 +172,47 @@ def test_scalar_path_stays_on_tuples(native_engine):
 
 
 # ----------------------------------------------------------------------
-# snapshot-open-in-worker: every backend vs the sequential oracle
+# snapshot-open-in-worker: whole queries vs the in-process stream
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@needs_fork
 @pytest.mark.parametrize("optimizer", OPTIMIZERS)
-def test_worker_pools_match_sequential(
-    native_engine, workload, backend, optimizer
-):
-    pool = WorkerPool(native_engine.db, 2, backend)
+def test_pooled_queries_match_match_iter(snap_path, workload, optimizer):
+    # a fresh engine: its plan cache holds only plans parsed from the
+    # same text the workers parse, so the column orders line up
+    engine = GraphEngine.from_database(load_database(snap_path))
+    pool = WorkerPool(engine.db, 2)
     try:
         for name, pattern in workload.items():
-            plan = native_engine.plan(pattern, optimizer=optimizer).plan
-            oracle = execute_plan(native_engine.db, plan)
-            parallel = execute_plan(
-                native_engine.db, plan, worker_pool=pool, morsel_size=MORSEL
+            text = str(pattern)
+            stream = engine.match_iter(text, optimizer=optimizer)
+            expected = list(stream)
+            columns, rows, truncated, stop_reason, _, _ = pool.submit_query(
+                (text, optimizer, None, None, None, None)
+            ).result()
+            assert rows == expected, f"{name} [{optimizer}]: worker rows diverge"
+            assert columns == stream.columns, (
+                f"{name} [{optimizer}]: worker columns diverge"
             )
-            assert parallel.rows == oracle.rows, (
-                f"{name} [{optimizer}/{backend}]: parallel rows diverge"
-            )
-            assert op_counters(parallel.metrics) == op_counters(oracle.metrics), (
-                f"{name} [{optimizer}/{backend}]: parallel counters diverge"
-            )
-
-            stream = execute_plan_streaming(
-                native_engine.db, plan, worker_pool=pool, morsel_size=MORSEL
-            )
-            streamed = list(stream)
-            assert streamed == oracle.rows, (
-                f"{name} [{optimizer}/{backend}]: streamed rows diverge"
-            )
-            assert op_counters(stream.metrics) == op_counters(oracle.metrics), (
-                f"{name} [{optimizer}/{backend}]: streaming counters diverge"
-            )
+            assert (truncated, stop_reason) == (False, None)
     finally:
         pool.shutdown()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pool_composes_with_native_batching(native_engine, workload, backend):
-    """Workers re-open the snapshot AND run the slice-addressed kernels."""
-    factory_pattern = max(
-        workload.values(), key=lambda p: len(native_engine.match(p).rows)
-    )
-    oracle = native_engine.match(factory_pattern, batch_size=BATCH)
-    parallel = native_engine.match(
-        factory_pattern, workers=2, parallel_backend=backend,
-        batch_size=BATCH, morsel_size=MORSEL,
-    )
-    native_engine.close_pool()
-    assert parallel.rows == oracle.rows
-    assert op_counters(parallel.metrics) == op_counters(oracle.metrics)
-    assert parallel.metrics.parallel.backend == backend
-
-
-def test_spawn_requires_a_snapshot_backed_database(built_engine):
-    with pytest.raises(ValueError, match="spawn backend"):
-        WorkerPool(built_engine.db, 2, "spawn")
+def test_pool_requires_a_snapshot_backed_database(built_engine):
+    with pytest.raises(ValueError, match="snapshot-backed"):
+        WorkerPool(built_engine.db, 2)
 
 
 # ----------------------------------------------------------------------
 # pool lifetime vs Snapshot.close()
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_close_guard_names_the_live_pool(snap_path, backend):
+@needs_fork
+def test_close_guard_names_the_live_pool(snap_path):
     db = load_database(snap_path)
     snapshot = db.join_index.snapshot
-    pool = WorkerPool(db, 2, backend)
+    pool = WorkerPool(db, 2)
     try:
-        with pytest.raises(SnapshotError, match=rf"WorkerPool\({backend}"):
+        with pytest.raises(SnapshotError, match=r"WorkerPool\(process"):
             snapshot.close()
         assert not snapshot.closed
     finally:
@@ -255,7 +225,7 @@ def test_descriptor_goes_stale_after_rebuild(snap_path):
     db = load_database(snap_path)
     assert db.snapshot_descriptor() is not None
     db.rebuild_join_index()
-    # live index now: nothing to ship, spawn must refuse cleanly
+    # live index now: nothing to ship, the pool must refuse cleanly
     assert db.snapshot_descriptor() is None
-    with pytest.raises(ValueError, match="spawn backend"):
-        WorkerPool(db, 2, "spawn")
+    with pytest.raises(ValueError, match="snapshot-backed"):
+        WorkerPool(db, 2)

@@ -188,9 +188,7 @@ class TestStats:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def engine():
-    eng = GraphEngine(generators.figure1_graph())
-    yield eng
-    eng.close_pool()
+    return GraphEngine(generators.figure1_graph())
 
 
 @pytest.fixture()

@@ -3,8 +3,7 @@
 The acceptance contract of the worst-case-optimal path: on cyclic
 patterns every optimizer — left-deep ``dp``/``dps``/``greedy`` and the
 multiway ``wcoj`` — produces the identical row set under both drivers,
-every batch substrate, both parallel backends and live/snapshot
-databases; per-op counters of the multiway operators match the scalar
+every batch substrate and live/snapshot databases; per-op counters of the multiway operators match the scalar
 sequential oracle everywhere.  Acyclic patterns must keep today's plans,
 rows and counters bit for bit (``auto``/``wcoj`` route them to DPS).
 
@@ -33,12 +32,10 @@ from repro.query import (
     parse_pattern,
 )
 from repro.query.pattern import PatternError
-from repro.query.physical.parallel import fork_available
 from repro.analysis import check_plan
 from repro.workloads.patterns import PatternFactory
 
 OPTIMIZERS = ("dp", "dps", "greedy", "wcoj")
-BACKENDS = ("thread", "process") if fork_available() else ("thread",)
 
 
 @pytest.fixture(scope="module")
@@ -273,25 +270,6 @@ class TestCyclicDifferential:
             batched = engine.match(pattern, optimizer="wcoj", batch_size=64)
             assert sorted(batched.rows) == sorted(scalar.rows), name
             assert op_counters(batched.metrics) == op_counters(scalar.metrics), name
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_parallel_counters_match_sequential_oracle(
-        self, engine, snapshot_engine, cyclic_workload, backend
-    ):
-        target = snapshot_engine if backend == "process" else engine
-        for name, pattern in cyclic_workload.items():
-            sequential = target.match(pattern, optimizer="wcoj", batch_size=64)
-            parallel = target.match(
-                pattern, optimizer="wcoj", batch_size=64,
-                workers=2, parallel_backend=backend, morsel_size=16,
-            )
-            assert sorted(parallel.rows) == sorted(sequential.rows), (
-                name, backend,
-            )
-            assert op_counters(parallel.metrics) == op_counters(
-                sequential.metrics
-            ), (name, backend)
-        target.close_pool()
 
     def test_snapshot_native_counters_match_live(
         self, engine, snapshot_engine, cyclic_workload
